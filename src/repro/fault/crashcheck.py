@@ -34,6 +34,7 @@ from repro.fault.oracle import ConvergenceReport, check_convergence
 from repro.fault.recovery import is_injected_crash
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.database import Database
     from repro.persist.recovery import RecoveryReport
     from repro.pta.tables import Scale
 
@@ -47,6 +48,9 @@ class CrashCheckResult:
     crash_error: Optional[str] = None  # the injected error's message
     recovery: Optional["RecoveryReport"] = None  # None when no crash fired
     executed_after: int = 0  # tasks the recovered process drained
+    #: The database the oracle checked: the recovered one after a crash,
+    #: the live one otherwise.
+    db: Optional["Database"] = None
 
     @property
     def ok(self) -> bool:
@@ -144,8 +148,10 @@ def crash_recover_converge(
             crash_error=str(exc),
             recovery=report,
             executed_after=executed,
+            db=db,
         )
+    live = db_out[0] if db_out else None
     oracle = result.oracle_report
     if oracle is None:
-        oracle = check_convergence(db_out[0]) if db_out else ConvergenceReport()
-    return CrashCheckResult(crashed=False, oracle=oracle)
+        oracle = check_convergence(live) if live is not None else ConvergenceReport()
+    return CrashCheckResult(crashed=False, oracle=oracle, db=live)

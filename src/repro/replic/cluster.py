@@ -30,6 +30,7 @@ drain replication to quiescence and assert full primary/standby
 
 from __future__ import annotations
 
+import shutil
 import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -280,6 +281,9 @@ class ReplicationResult:
     equivalence_reports: dict[str, ConvergenceReport] = field(
         default_factory=dict
     )
+    #: The primary's WAL directory.  One the run created itself is gone
+    #: by the time the result is returned, unless ``cluster_out`` took the
+    #: live cluster.
     wal_dir: Optional[str] = None
 
     @property
@@ -353,93 +357,104 @@ def run_replicated_experiment(
         injector = FaultInjector(faults, seed=fault_seed)
         injector.enabled = False  # setup is not under test; armed before run
         recovery = RetryPolicy(max_retries=max_retries, backoff=retry_backoff)
-    owns_wal_dir = wal_dir is None
-    if owns_wal_dir:
+    # A WAL directory this call creates is removed before it returns,
+    # unless the caller takes the live cluster, whose shipper and standbys
+    # keep reading it.
+    keep_wal_dir = wal_dir is not None
+    if wal_dir is None:
         wal_dir = tempfile.mkdtemp(prefix="repro-replic-")
-    persist = PersistenceManager(wal_dir, checkpoint_every=None, sync=False)
-    persist.enabled = False  # setup goes into the initial checkpoint
-    db = Database(tracer=tracer, faults=injector, recovery=recovery, persist=persist)
-    db.metrics.set_keep_records(False)
-    trace, events = get_trace(scale, seed)
-    populate(db, scale, trace, events, seed)
-    if view == "comps":
-        install_comp_rule(db, variant, delay)
-    else:
-        install_option_rule(db, variant, delay)
-    persist.enabled = True
-    persist.checkpoint()
-    cluster = ReplicationCluster(
-        db,
-        persist,
-        replicas=replicas,
-        mode=mode,
-        network=network,
-        net_seed=net_seed,
-        batch_records=batch_records,
-        resend_timeout=resend_timeout,
-        functions=function_registry(),
-        tracer=tracer,
-    )
-    simulator = Simulator(db)
-    simulator.post_task_hooks.append(cluster.pump)
-    if injector is not None:
-        injector.enabled = True
-    crashed = False
+    persist = None
     try:
-        simulator.run(arrivals=_trace_tasks(db, events))
-    except InjectedCrashError:
-        crashed = True
-    if injector is not None:
-        injector.enabled = False  # oracle recomputation must run clean
-
-    failover_report: Optional[FailoverReport] = None
-    oracle_report: Optional[ConvergenceReport] = None
-    equivalence: dict[str, ConvergenceReport] = {}
-    if crashed:
-        cluster.crash_primary()
-        failover_report = cluster.failover(
-            max_retries=max_retries, backoff=retry_backoff
+        persist = PersistenceManager(wal_dir, checkpoint_every=None, sync=False)
+        persist.enabled = False  # setup goes into the initial checkpoint
+        db = Database(tracer=tracer, faults=injector, recovery=recovery, persist=persist)
+        db.metrics.set_keep_records(False)
+        trace, events = get_trace(scale, seed)
+        populate(db, scale, trace, events, seed)
+        if view == "comps":
+            install_comp_rule(db, variant, delay)
+        else:
+            install_option_rule(db, variant, delay)
+        persist.enabled = True
+        persist.checkpoint()
+        cluster = ReplicationCluster(
+            db,
+            persist,
+            replicas=replicas,
+            mode=mode,
+            network=network,
+            net_seed=net_seed,
+            batch_records=batch_records,
+            resend_timeout=resend_timeout,
+            functions=function_registry(),
+            tracer=tracer,
         )
-    else:
-        cluster.finish()
-        oracle_report = check_convergence(db)
-        for standby in cluster.standbys:
-            equivalence[standby.name] = check_replica_equivalence(db, standby.db)
-        persist.close()
+        simulator = Simulator(db)
+        simulator.post_task_hooks.append(cluster.pump)
+        if injector is not None:
+            injector.enabled = True
+        crashed = False
+        try:
+            simulator.run(arrivals=_trace_tasks(db, events))
+        except InjectedCrashError:
+            crashed = True
+        if injector is not None:
+            injector.enabled = False  # oracle recomputation must run clean
 
-    ship_stats = cluster.shipper.stats()
-    result = ReplicationResult(
-        mode=mode,
-        replicas=replicas,
-        n_updates=len(events),
-        end_time=db.clock.base,
-        wal_records=persist.records_logged,
-        shipped_frames=sum(link["frames_sent"] for link in ship_stats["links"]),
-        resent_frames=sum(link["frames_resent"] for link in ship_stats["links"]),
-        send_dropped=sum(link["send"]["dropped"] for link in ship_stats["links"]),
-        ack_dropped=sum(link["ack"]["dropped"] for link in ship_stats["links"]),
-        apply_dropped=ship_stats["frames_apply_dropped"],
-        reordered=sum(
-            link["send"]["reordered"] + link["ack"]["reordered"]
-            for link in ship_stats["links"]
-        ),
-        shipped_bytes=sum(
-            link["send"]["bytes_sent"] for link in ship_stats["links"]
-        ),
-        commit_waits=cluster.commit_waits,
-        commit_wait_total=cluster.commit_wait_total,
-        commit_wait_max=cluster.commit_wait_max,
-        crashed=crashed,
-        faults=faults or None,
-        faults_injected=db.faults.injected_count,
-        replica_stats=cluster.lag_snapshot(),
-        failover=failover_report,
-        oracle_report=oracle_report,
-        equivalence_reports=equivalence,
-        wal_dir=str(wal_dir),
-    )
-    if db_out is not None:
-        db_out.append(db)
-    if cluster_out is not None:
-        cluster_out.append(cluster)
-    return result
+        failover_report: Optional[FailoverReport] = None
+        oracle_report: Optional[ConvergenceReport] = None
+        equivalence: dict[str, ConvergenceReport] = {}
+        if crashed:
+            cluster.crash_primary()
+            failover_report = cluster.failover(
+                max_retries=max_retries, backoff=retry_backoff
+            )
+        else:
+            cluster.finish()
+            oracle_report = check_convergence(db)
+            for standby in cluster.standbys:
+                equivalence[standby.name] = check_replica_equivalence(db, standby.db)
+            persist.close()
+
+        ship_stats = cluster.shipper.stats()
+        result = ReplicationResult(
+            mode=mode,
+            replicas=replicas,
+            n_updates=len(events),
+            end_time=db.clock.base,
+            wal_records=persist.records_logged,
+            shipped_frames=sum(link["frames_sent"] for link in ship_stats["links"]),
+            resent_frames=sum(link["frames_resent"] for link in ship_stats["links"]),
+            send_dropped=sum(link["send"]["dropped"] for link in ship_stats["links"]),
+            ack_dropped=sum(link["ack"]["dropped"] for link in ship_stats["links"]),
+            apply_dropped=ship_stats["frames_apply_dropped"],
+            reordered=sum(
+                link["send"]["reordered"] + link["ack"]["reordered"]
+                for link in ship_stats["links"]
+            ),
+            shipped_bytes=sum(
+                link["send"]["bytes_sent"] for link in ship_stats["links"]
+            ),
+            commit_waits=cluster.commit_waits,
+            commit_wait_total=cluster.commit_wait_total,
+            commit_wait_max=cluster.commit_wait_max,
+            crashed=crashed,
+            faults=faults or None,
+            faults_injected=db.faults.injected_count,
+            replica_stats=cluster.lag_snapshot(),
+            failover=failover_report,
+            oracle_report=oracle_report,
+            equivalence_reports=equivalence,
+            wal_dir=str(wal_dir),
+        )
+        if db_out is not None:
+            db_out.append(db)
+        if cluster_out is not None:
+            cluster_out.append(cluster)
+            keep_wal_dir = True
+        return result
+    finally:
+        if not keep_wal_dir:
+            if persist is not None:
+                persist.abandon()  # closed already unless the run raised
+            shutil.rmtree(wal_dir, ignore_errors=True)

@@ -36,6 +36,9 @@ class TaskRecord:
     context_switches: int = 0
     deadline: Optional[float] = None
     dropped: bool = False  # firm-deadline policy discarded the task unrun
+    #: ``cpu_time`` without the commit-time rule overhead (None: no rules
+    #: ran, the same as ``cpu_time``).
+    base_cpu: Optional[float] = None
 
     @property
     def queueing(self) -> float:
@@ -62,6 +65,7 @@ class ClassSummary:
     klass: str
     count: int = 0
     total_cpu: float = 0.0
+    total_base_cpu: float = 0.0  # rule-free CPU, summed in task order
     total_length: float = 0.0
     total_response: float = 0.0
     total_queueing: float = 0.0
@@ -79,6 +83,8 @@ class ClassSummary:
         if record.dropped:
             self.dropped += 1
         self.total_cpu += record.cpu_time
+        base_cpu = record.base_cpu
+        self.total_base_cpu += record.cpu_time if base_cpu is None else base_cpu
         self.total_length += record.length
         self.total_response += record.response_time
         self.total_queueing += record.queueing
@@ -139,6 +145,13 @@ class MetricsCollector:
 
     def total_cpu(self, prefix: str = "") -> float:
         return sum(s.total_cpu for k, s in self.by_class.items() if k.startswith(prefix))
+
+    def total_base_cpu(self, prefix: str = "") -> float:
+        """CPU the classes with ``prefix`` would have cost with no rules
+        installed: every task's CPU minus its commit-time rule overhead."""
+        return sum(
+            s.total_base_cpu for k, s in self.by_class.items() if k.startswith(prefix)
+        )
 
     def cpu_fraction(self, duration: float, prefix: str = "") -> float:
         """Fraction of ``duration`` spent on tasks in classes with ``prefix``."""

@@ -59,6 +59,7 @@ def execute_task(
     bound_rows = task.bound_rows
     meter = task.meter
     charged_before = meter.total
+    task.rule_cpu = 0.0  # a killed attempt's rule work is not this one's
     db.clock.activate(meter, start)
     db.charge("begin_task")
     faults = db.faults
@@ -107,12 +108,21 @@ def execute_task(
         return record
     db.charge("end_task")
     cpu = meter.total - charged_before
+    # The rule-free CPU: this attempt without its commit-time rule overhead,
+    # plus the context switches that amount alone would have been charged.
+    base_cpu = cpu - task.rule_cpu
     quantum = db.cost_model.preempt_quantum
-    switches = int(cpu / quantum) if quantum > 0 else 0
+    if quantum > 0:
+        switches = int(cpu / quantum)
+        base_switches = int(base_cpu / quantum)
+    else:
+        switches = base_switches = 0
     if switches:
         db.charge("context_switch", switches)
         task.context_switches += switches
         cpu = meter.total - charged_before
+    if base_switches:
+        base_cpu += db._cost_seconds["context_switch"] * base_switches
     end = db.clock.deactivate()
     task.end_time = end
     task.state = TaskState.DONE
@@ -129,6 +139,7 @@ def execute_task(
         start_time=start,
         end_time=end,
         cpu_time=cpu,
+        base_cpu=base_cpu,
         lock_wait=task.lock_wait,
         bound_rows=bound_rows,
         context_switches=switches,

@@ -147,6 +147,11 @@ class LockManager:
     def held_resources(self, txn_id: int) -> set[Resource]:
         return set(self._held_by_txn.get(txn_id, set()))
 
+    def held_count(self, txn_id: int) -> int:
+        """How many resources ``txn_id`` holds (no copy, unlike
+        :meth:`held_resources`)."""
+        return len(self._held_by_txn.get(txn_id, ()))
+
     # ----------------------------------------------------------- internals
 
     def _grantable(self, state: _LockState, mode: LockMode) -> bool:
@@ -227,3 +232,6 @@ class NullLockManager:
 
     def held_resources(self, txn_id: int) -> set:
         return set()
+
+    def held_count(self, txn_id: int) -> int:
+        return 0

@@ -57,6 +57,7 @@ class Task:
         "end_time",
         "lock_wait",
         "context_switches",
+        "rule_cpu",
         "seq",
         "estimated_cpu",
         "compact_info",
@@ -99,6 +100,10 @@ class Task:
         self.end_time: Optional[float] = None
         self.lock_wait = 0.0
         self.context_switches = 0
+        # The rule-overhead sub-meter: CPU charged inside this attempt's
+        # commit-time rule processing (repro.txn.transaction), reset by the
+        # simulator at the start of every attempt.
+        self.rule_cpu = 0.0
         self.seq = self.task_id  # FIFO tiebreaker
         self.estimated_cpu = estimated_cpu
         # Delta-compaction state set by the UniqueManager for ``compact on``

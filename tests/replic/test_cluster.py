@@ -51,17 +51,15 @@ class TestAsyncMode:
             # One-way latency (20ms default) bounds the best-case lag.
             assert stats["apply_lag"]["min"] >= 0.02
 
-    def test_async_matches_unreplicated_timing(self, async_run):
+    def test_async_matches_unreplicated_timing(self, async_run, tmp_path):
         """Shipping rides between tasks: the primary's virtual end time
         must equal a plain (persistence-only) run of the same workload."""
         from repro.pta.workload import run_experiment
 
         result, _db, _cluster = async_run
-        import tempfile
-
         baseline = run_experiment(
             MICRO, "comps", "unique", delay=1.0, seed=0,
-            wal_dir=tempfile.mkdtemp(prefix="repro-baseline-"),
+            wal_dir=str(tmp_path),
         )
         assert result.end_time == pytest.approx(baseline.end_time)
 
@@ -132,6 +130,38 @@ class TestReadRouting:
         before = cluster.reads_standby
         cluster.read("select count(*) as n from stocks", min_lsn=watermark)
         assert cluster.reads_standby == before + 1
+
+
+class TestTemporaryWalDirectory:
+    """A run given no ``wal_dir`` logs into a directory of its own and
+    removes it before returning, unless the caller takes the cluster."""
+
+    @pytest.fixture
+    def tempdir(self, tmp_path, monkeypatch):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return tmp_path
+
+    def test_clean_run_leaves_nothing_behind(self, tempdir):
+        result = run_replicated_experiment(MICRO, replicas=1, mode="async")
+        assert result.converged
+        assert result.wal_dir.startswith(str(tempdir))
+        assert list(tempdir.iterdir()) == []
+
+    def test_crashed_run_leaves_nothing_behind(self, tempdir):
+        result = run_replicated_experiment(
+            MICRO, replicas=2, mode="async", faults="wal.append:crash@nth=40"
+        )
+        assert result.crashed and result.converged
+        assert list(tempdir.iterdir()) == []
+
+    def test_caller_holding_the_cluster_keeps_its_wal(self, tempdir):
+        cluster_out: list = []
+        result = run_replicated_experiment(
+            MICRO, replicas=1, mode="async", cluster_out=cluster_out
+        )
+        assert [str(path) for path in tempdir.iterdir()] == [result.wal_dir]
 
 
 class TestConfigurationGuards:
