@@ -15,7 +15,8 @@ Two claims, measured on the same seeded PTA workload:
   unreplicated run's).
 
 Every leg must converge: the oracle + row-for-row replica equivalence
-run inside ``run_replicated_experiment``.  Emits ``BENCH_replication.json``.
+run inside :func:`repro.pta.workload.run` with a
+:class:`~repro.replic.cluster.Replication` attached.  Emits ``BENCH_replication.json``.
 """
 
 import json
@@ -24,7 +25,8 @@ import time
 
 from repro.bench.reporting import emit, format_table, results_dir
 from repro.pta.tables import Scale
-from repro.replic import NetworkConfig, run_replicated_experiment
+from repro.pta.workload import RunSpec, Trade, run
+from repro.replic import NetworkConfig, Replication
 
 SCALE = Scale(
     n_stocks=12, n_comps=3, stocks_per_comp=4,
@@ -53,24 +55,25 @@ def read_rate(db, n=READS):
 def replication_sweep():
     rows = []
     for replicas, mode in CASES:
-        db_out, cluster_out = [], []
         start = time.perf_counter()
-        result = run_replicated_experiment(
-            SCALE, replicas=replicas, mode=mode,
-            network=NetworkConfig(latency=LATENCY),
-            db_out=db_out, cluster_out=cluster_out,
-        )
+        run_result = run(RunSpec(
+            Trade(SCALE),
+            replication=Replication(
+                replicas, mode, network=NetworkConfig(latency=LATENCY)
+            ),
+        ))
         wall = time.perf_counter() - start
-        primary_rate = read_rate(db_out[0])
+        result = run_result.replication
+        primary_rate = read_rate(run_result.db)
         replica_rates = [
-            read_rate(standby.db) for standby in cluster_out[0].standbys
+            read_rate(standby.db) for standby in result.cluster.standbys
         ]
         rows.append(
             {
                 "replicas": replicas,
                 "mode": mode,
-                "converged": result.converged,
-                "end_time": round(result.end_time, 4),
+                "converged": run_result.converged,
+                "end_time": round(run_result.end_time, 4),
                 "wal_records": result.wal_records,
                 "shipped_frames": result.shipped_frames,
                 "shipped_bytes": result.shipped_bytes,

@@ -37,7 +37,7 @@ from repro.net.protocol import (
     encode_message,
 )
 from repro.net.server import AckRecord, NetServer, ServerConfig, Session
-from repro.net.sim import NetworkResult, SimNetTransport, run_network_experiment
+from repro.net.sim import FrontEnd, FrontEndResult, SimNetTransport
 
 __all__ = [
     "AckRecord",
@@ -49,7 +49,8 @@ __all__ = [
     "LoadConfig",
     "NetClient",
     "NetServer",
-    "NetworkResult",
+    "FrontEnd",
+    "FrontEndResult",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "QuoteRequest",
@@ -59,5 +60,4 @@ __all__ = [
     "TokenBucket",
     "encode_message",
     "quote_stream",
-    "run_network_experiment",
 ]

@@ -13,21 +13,26 @@ non-incremental, high fan-out).  This package provides:
   section 4.2, parameterized by :class:`~repro.pta.tables.Scale`;
 * :mod:`repro.pta.rules` — the rule families ``do_comps1/2/3`` and
   ``do_options1/2/3`` with their user functions;
-* :mod:`repro.pta.workload` — drives a full experiment and collects the
-  quantities reported in Figures 9-14.
+* :mod:`repro.pta.workload` — the run harness (:class:`RunSpec` and
+  :func:`run`) that drives a full experiment and collects the quantities
+  reported in Figures 9-14.
 """
 
 from repro.pta.blackscholes import call_price
 from repro.pta.tables import Scale, populate
 from repro.pta.trace import QuoteEvent, TaqTraceGenerator
-from repro.pta.workload import ExperimentResult, run_experiment
+from repro.pta.workload import RunResult, RunSpec, Trade, TradeResult, run, run_experiment
 
 __all__ = [
-    "ExperimentResult",
     "QuoteEvent",
+    "RunResult",
+    "RunSpec",
     "Scale",
     "TaqTraceGenerator",
+    "Trade",
+    "TradeResult",
     "call_price",
     "populate",
+    "run",
     "run_experiment",
 ]

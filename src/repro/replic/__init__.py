@@ -15,14 +15,16 @@ subsystem ships it:
   reporting apply lag;
 * :mod:`repro.replic.failover` — promotion of the freshest standby with
   orphan-retry resurrection, queue drain, and the convergence oracle;
-* :mod:`repro.replic.cluster` — the cluster harness, read routing with
-  freshness bounds, and :func:`run_replicated_experiment`.
+* :mod:`repro.replic.cluster` — the cluster, read routing with
+  freshness bounds, and the :class:`Replication` attachment of the run
+  harness.
 
 See docs/REPLICATION.md for modes, lag semantics, and the drill recipe.
 """
 
 from repro.replic.channel import NetworkConfig, SimChannel
 from repro.replic.cluster import (
+    Replication,
     ReplicationCluster,
     ReplicationResult,
     check_replica_equivalence,
@@ -37,6 +39,7 @@ __all__ = [
     "FailoverReport",
     "NetworkConfig",
     "ReplicaLink",
+    "Replication",
     "ReplicationCluster",
     "ReplicationError",
     "ReplicationResult",

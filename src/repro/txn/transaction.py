@@ -265,7 +265,6 @@ class Transaction:
                 live = current(entry.new_record)
                 restored = table.update(live, list(entry.old_record.values))
                 redirect[entry.old_record.rid] = restored
-        self.db.lock_manager.cancel_waits(self.txn_id)
         self._release_locks()
         self.state = TransactionState.ABORTED
         self.db.on_txn_finished(self)

@@ -22,7 +22,7 @@ from repro.persist.manager import WAL_FILE
 from repro.persist.wal import MAGIC, iter_frames
 from repro.pta.rules import function_registry
 from repro.pta.tables import Scale
-from repro.pta.workload import run_cascade_experiment
+from repro.pta.workload import Faults, RunSpec, Trade, Wal, run
 from repro.sim.simulator import Simulator
 
 #: Small enough for the every-record sweep, big enough that both strata
@@ -46,14 +46,21 @@ SEAM_PLANS = [
 ]
 
 
+def cascade(variant="unique", delay=1.0, compact=False, **spec) -> RunSpec:
+    """The two-level scenario (sector rule after window 1 s) on MICRO."""
+    return RunSpec(
+        Trade(MICRO, "comps", variant, delay, compact=compact, sector_delay=1.0),
+        **spec,
+    )
+
+
 class TestCascadeFaultSeams:
     @pytest.mark.parametrize("plan", SEAM_PLANS)
     def test_every_seam_converges_with_zero_lost(self, plan):
         tracer = TraceCollector()
-        result = run_cascade_experiment(
-            MICRO, variant="unique", delay=1.0, sector_delay=1.0,
-            faults=plan, fault_seed=3, max_retries=8, tracer=tracer,
-        )
+        result = run(cascade(
+            faults=Faults(plan, 3, max_retries=8), tracer=tracer
+        ))
         assert result.faults_injected >= 1, plan
         assert result.fault_drops == 0, plan
         assert result.oracle_divergent == 0, (
@@ -66,11 +73,10 @@ class TestCascadeFaultSeams:
     def test_compaction_seam_converges(self):
         """``unique.compact`` only exists on compacted runs."""
         tracer = TraceCollector()
-        result = run_cascade_experiment(
-            MICRO, variant="unique", compact=True,
-            faults="unique.compact:abort@every=2", fault_seed=3,
-            max_retries=8, tracer=tracer,
-        )
+        result = run(cascade(
+            compact=True, tracer=tracer,
+            faults=Faults("unique.compact:abort@every=2", 3, max_retries=8),
+        ))
         assert result.faults_injected >= 1
         assert result.fault_drops == 0
         assert result.oracle_divergent == 0, result.oracle_report.format()
@@ -81,12 +87,8 @@ class TestCascadeFaultSeams:
 def completed_cascade_run(tmp_path_factory):
     """One full persistence-on cascade run: WAL directory, result, db."""
     wal_dir = str(tmp_path_factory.mktemp("cascade-wal"))
-    db_out = []
-    result = run_cascade_experiment(
-        MICRO, variant="unique", delay=1.0, sector_delay=1.0, seed=0,
-        wal_dir=wal_dir, db_out=db_out,
-    )
-    return wal_dir, result, db_out[0]
+    result = run(cascade(wal=Wal(wal_dir)))
+    return wal_dir, result, result.db
 
 
 def frame_offsets(wal_path):
@@ -156,10 +158,10 @@ class TestCascadeCrashSweep:
         assert sector_checked > 0
 
     def test_crash_recover_converge_harness_supports_cascade(self, tmp_path):
-        result = crash_recover_converge(
-            MICRO, str(tmp_path / "wal"), view="cascade", variant="unique",
-            delay=1.0, faults="wal.append:crash@nth=60", checkpoint_every=2.0,
-        )
+        result = crash_recover_converge(cascade(
+            wal=Wal(str(tmp_path / "wal"), checkpoint_every=2.0),
+            faults=Faults("wal.append:crash@nth=60"),
+        ))
         assert result.crashed
         assert result.ok, result.describe()
         assert result.oracle.rows_checked > 0

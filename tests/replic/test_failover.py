@@ -5,12 +5,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.pta.tables import Scale
-from repro.replic import (
-    FailoverController,
-    NetworkConfig,
-    ReplicationError,
-    run_replicated_experiment,
-)
+from repro.pta.workload import Faults, RunSpec, Trade, run
+from repro.replic import FailoverController, NetworkConfig, Replication, ReplicationError
 
 MICRO = Scale(
     n_stocks=12, n_comps=3, stocks_per_comp=4,
@@ -25,24 +21,27 @@ DRILL_PLAN = (
 
 @pytest.fixture(scope="module")
 def drill():
-    return run_replicated_experiment(
-        MICRO, replicas=2,
-        network=NetworkConfig(latency=0.02, jitter=0.01, drop=0.05, reorder=0.3),
-        net_seed=1,
-        faults=DRILL_PLAN,
-        fault_seed=7,
-    )
+    result = run(RunSpec(
+        Trade(MICRO),
+        faults=Faults(DRILL_PLAN, 7),
+        replication=Replication(
+            2,
+            network=NetworkConfig(latency=0.02, jitter=0.01, drop=0.05, reorder=0.3),
+            net_seed=1,
+        ),
+    ))
+    return result
 
 
 class TestCrashDrill:
     def test_primary_crashes_and_a_standby_is_promoted(self, drill):
-        assert drill.crashed
-        assert drill.failover is not None
-        assert drill.failover.promoted in {"r0", "r1"}
+        assert drill.replication.crashed
+        assert drill.replication.failover is not None
+        assert drill.replication.failover.promoted in {"r0", "r1"}
         assert drill.oracle_report is None  # the primary died; no oracle
 
     def test_promoted_standby_passes_the_convergence_oracle(self, drill):
-        report = drill.failover.oracle_report
+        report = drill.replication.failover.oracle_report
         assert report is not None
         assert report.ok, report.format()
         assert report.rows_checked > 0
@@ -51,20 +50,21 @@ class TestCrashDrill:
     def test_promotion_applied_a_durable_prefix(self, drill):
         # The promoted replica applied some prefix of what was durable —
         # never more than the primary logged before dying.
-        assert 0 < drill.failover.applied_lsn <= drill.wal_records
+        assert 0 < drill.replication.failover.applied_lsn <= drill.wal_records
 
     def test_drill_report_is_printable(self, drill):
-        text = drill.failover.describe()
+        text = drill.replication.failover.describe()
         assert "promoted" in text
         assert "convergence oracle" in text
 
     def test_clean_run_at_same_settings_does_not_crash(self):
-        result = run_replicated_experiment(
-            MICRO, replicas=2,
-            network=NetworkConfig(latency=0.02, drop=0.05, reorder=0.3),
-            net_seed=1,
-        )
-        assert not result.crashed
+        result = run(RunSpec(
+            Trade(MICRO),
+            replication=Replication(
+                2, network=NetworkConfig(latency=0.02, drop=0.05, reorder=0.3), net_seed=1
+            ),
+        ))
+        assert not result.replication.crashed
         assert result.converged
 
 

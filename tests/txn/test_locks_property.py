@@ -3,7 +3,6 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DeadlockError
 from repro.txn.locks import LockManager, LockMode
 
 S = LockMode.SHARED
@@ -20,23 +19,21 @@ operations = st.lists(
 
 
 def check_invariants(manager: LockManager) -> None:
-    """No resource may have incompatible concurrent holders, and no waiter
-    may be grantable-but-waiting while the queue head is grantable."""
-    for resource, state in manager._locks.items():
-        modes = list(state.holders.values())
+    """No resource may have incompatible concurrent holders, and the
+    per-transaction index must match the holder table exactly."""
+    indexed = {
+        (txn, resource)
+        for txn, resources in manager._held_by_txn.items()
+        for resource in resources
+    }
+    held = set()
+    for resource, holders in manager._holders.items():
+        assert holders, f"empty holder entry left for {resource}"
+        modes = list(holders.values())
         if X in modes:
             assert len(modes) == 1, f"X lock shared on {resource}"
-        if state.waiters:
-            head_txn, head_mode = state.waiters[0]
-            if head_txn not in state.holders:
-                # The head must actually conflict with some holder;
-                # otherwise release_all failed to grant it.
-                compatible = all(
-                    head_mode.compatible_with(mode) for mode in state.holders.values()
-                )
-                assert not compatible or state.holders, (
-                    f"waiter {head_txn} starving on free resource {resource}"
-                )
+        held.update((txn, resource) for txn in holders)
+    assert held == indexed
 
 
 class TestLockInvariants:
@@ -44,28 +41,29 @@ class TestLockInvariants:
     @given(ops=operations)
     def test_random_workload(self, ops):
         manager = LockManager()
-        blocked: set[int] = set()  # txns currently waiting (can't act)
         for action, txn, resource_id in ops:
-            if txn in blocked:
-                continue  # a blocked transaction cannot issue requests
             resource = ("t", resource_id)
-            try:
-                if action == "acquire_s":
-                    granted = manager.acquire(txn, resource, S)
-                elif action == "acquire_x":
-                    granted = manager.acquire(txn, resource, X)
-                else:
-                    released = manager.release_all(txn)
-                    for granted_txn, _res, _mode in released:
-                        blocked.discard(granted_txn)
-                    granted = True
-            except DeadlockError:
-                manager.cancel_waits(txn)
+            if action == "release":
                 manager.release_all(txn)
-                blocked.discard(txn)
-                continue
-            if not granted:
-                blocked.add(txn)
+                assert manager.held_count(txn) == 0
+            else:
+                mode = S if action == "acquire_s" else X
+                others = {
+                    holder: held
+                    for holder, held in manager._holders.get(resource, {}).items()
+                    if holder != txn
+                }
+                mine = manager._holders.get(resource, {}).get(txn)
+                granted = manager.acquire(txn, resource, mode)
+                if mine is not None and mine.covers(mode):
+                    expected = True
+                elif mine is not None:
+                    expected = not others  # upgrade: sole holder only
+                else:
+                    expected = all(mode.compatible_with(m) for m in others.values())
+                # A conflict is refused outright, never queued.
+                assert granted == expected
+                assert manager.holds(txn, resource, mode) == granted
             check_invariants(manager)
 
     @settings(max_examples=80, deadline=None)
@@ -74,17 +72,11 @@ class TestLockInvariants:
         manager = LockManager()
         for action, txn, resource_id in ops:
             resource = ("t", resource_id)
-            try:
-                if action.startswith("acquire"):
-                    manager.acquire(txn, resource, X if action.endswith("x") else S)
-                else:
-                    manager.release_all(txn)
-            except DeadlockError:
-                manager.cancel_waits(txn)
+            if action.startswith("acquire"):
+                manager.acquire(txn, resource, X if action.endswith("x") else S)
+            else:
+                manager.release_all(txn)
         for txn in range(1, 5):
-            manager.cancel_waits(txn)
             manager.release_all(txn)
-        assert all(
-            not state.holders and not state.waiters
-            for state in manager._locks.values()
-        )
+        assert manager._holders == {}
+        assert manager._held_by_txn == {}

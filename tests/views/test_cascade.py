@@ -137,18 +137,19 @@ class TestPtaCascade:
     @pytest.mark.parametrize("compact", [False, True])
     def test_sectors_equal_bottom_up(self, variant, compact):
         from repro.pta.tables import Scale
-        from repro.pta.workload import run_cascade_experiment
+        from repro.pta.workload import RunSpec, Trade, run
 
         scale = Scale(
             n_stocks=16, n_comps=4, stocks_per_comp=6,
             n_options=10, duration=10.0, n_updates=80,
         )
         tracer = TraceCollector()
-        result = run_cascade_experiment(
-            scale, variant=variant, compact=compact, tracer=tracer,
-        )
-        assert result.max_stratum == 2
-        assert result.n_sector_recomputes > 0
+        result = run(RunSpec(
+            Trade(scale, "comps", variant, compact=compact, sector_delay=1.0),
+            tracer=tracer,
+        ))
+        assert result.trade.max_stratum == 2
+        assert result.trade.n_sector_recomputes > 0
         assert result.oracle_divergent == 0, result.oracle_report.format()
         assert {"comp_prices", "sector_prices"} <= set(
             result.oracle_report.views_checked
