@@ -55,10 +55,10 @@ def __getattr__(name: str):
         from repro.pta.tables import Scale
 
         return Scale
-    if name == "run_experiment":
-        from repro.pta.workload import run_experiment
+    if name in ("RunSpec", "run"):
+        from repro.pta import workload
 
-        return run_experiment
+        return getattr(workload, name)
     if name == "materialize":
         from repro.views.maintain import materialize
 

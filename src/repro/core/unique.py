@@ -51,21 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.database import Database
 
 
-def _filtered_copy(
-    source: TempTable, offsets: tuple[int, ...], wanted: tuple, charge
-) -> TempTable:
-    """A fresh temp table with only the rows whose ``offsets`` match ``wanted``."""
-    copy = TempTable(source.name, source.schema, source.static_map)
-    for i, (ptrs, mats) in enumerate(source.scan_raw()):
-        charge("partition_row")
-        values = tuple(source.value_at(i, offset) for offset in offsets)
-        if values == wanted:
-            for record in ptrs:
-                record.pin()
-            copy._rows.append((ptrs, mats))
-    return copy
-
-
 def _full_copy(source: TempTable, charge) -> TempTable:
     copy = TempTable(source.name, source.schema, source.static_map)
     charge("partition_row", max(len(source), 1))

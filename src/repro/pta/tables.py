@@ -81,6 +81,20 @@ class Scale:
             n_updates=400,
         )
 
+    @classmethod
+    def named(cls, name: str) -> "Scale":
+        """``paper`` / ``small`` / ``tiny``, or a float factor on the paper
+        scale."""
+        presets = {"paper": cls.paper, "small": cls.small, "tiny": cls.tiny}
+        if name in presets:
+            return presets[name]()
+        try:
+            return cls.paper().scaled(float(name))
+        except ValueError:
+            raise ValueError(
+                f"unknown scale {name!r}: use paper/small/tiny or a float"
+            ) from None
+
     def scaled(self, factor: float) -> "Scale":
         return Scale(
             n_stocks=max(int(self.n_stocks * factor), 10),

@@ -109,7 +109,7 @@ class TestHookSites:
         with pytest.raises(InjectedDeadlockError):
             db.execute("insert into t values ('a', 1.0)")
         assert db.query("select count(*) as n from t").rows()[0][0] == 0
-        assert db.lock_manager.held_resources is not None  # lock table intact
+        assert db.lock_manager.held_count is not None  # lock table intact
 
     def test_queue_delay_shifts_release_time(self):
         db = make_db("queue.delay:delay=0.5@nth=1")

@@ -67,9 +67,9 @@ class TestBasics:
     def test_locks_released_at_commit(self, db):
         txn = db.begin()
         txn.insert("t", {"k": "a", "v": 1.0})
-        assert db.lock_manager.held_resources(txn.txn_id)
+        assert db.lock_manager.held_count(txn.txn_id)
         txn.commit()
-        assert not db.lock_manager.held_resources(txn.txn_id)
+        assert not db.lock_manager.held_count(txn.txn_id)
 
     def test_context_manager_commits(self, db):
         with db.begin() as txn:
