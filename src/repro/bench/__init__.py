@@ -6,18 +6,18 @@ all come from the composite-maintenance grid) only pay for it once.
 """
 
 from repro.bench.experiments import (
+    DELAYS,
     bench_scale,
     comp_sweep,
-    delays_default,
     is_strict_scale,
     option_sweep,
 )
 from repro.bench.reporting import format_series, format_table
 
 __all__ = [
+    "DELAYS",
     "bench_scale",
     "comp_sweep",
-    "delays_default",
     "format_series",
     "is_strict_scale",
     "format_table",
